@@ -3,7 +3,7 @@
 //! Executors return [`ExecError`]s whose [`ErrorKind`] and transience
 //! flag drive the pool's retry policy; every finished job — success,
 //! failure, timeout or cancellation — becomes a [`JobRecord`], the one
-//! JSONL line the batch front-end emits per job. A job can only ever
+//! JSONL line a batch session emits per job. A job can only ever
 //! *complete with an error record*; nothing in the serving layer aborts
 //! the process.
 
@@ -134,8 +134,8 @@ pub struct JobRecord<R> {
     pub latency_ms: f64,
     /// Whether the result came from the plan cache.
     pub cache_hit: bool,
-    /// Cache shard the job's key maps to, when served by a sharded
-    /// front-end. Shard membership depends on the shard count, so
+    /// Cache shard the job's key maps to, when served over a sharded
+    /// cache. Shard membership depends on the shard count, so
     /// [`JobRecord::canonical`] strips it.
     pub shard: Option<usize>,
     /// The job's span trace, when the pool ran with tracing enabled.
@@ -228,7 +228,7 @@ impl<R: Serialize> Serialize for JobRecord<R> {
         map.insert("attempts".into(), self.attempts.to_value());
         map.insert("latency_ms".into(), self.latency_ms.to_value());
         map.insert("cache_hit".into(), self.cache_hit.to_value());
-        // Emitted only when present: flat front-ends keep compact lines.
+        // Emitted only when present: single-shard runs keep compact lines.
         if let Some(shard) = self.shard {
             map.insert("shard".into(), shard.to_value());
         }

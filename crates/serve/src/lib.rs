@@ -19,17 +19,18 @@
 //!   injection (behind `youtiao chaos`): scheduled errors, panics,
 //!   delays, cancellations and cache corruption wrapped around any
 //!   executor, reproducible from a seed;
-//! * [`run_batch`] — the JSONL front-end behind `youtiao batch`,
-//!   streaming one result line per job and summarizing throughput,
-//!   latency percentiles, and cache behavior in [`ServeMetrics`];
 //! * [`ShardedCache`] — N content-addressed [`PlanCache`] shards, each
 //!   with its own lock, LRU budget and persistence file, so shard loss
 //!   or corruption is isolated and salvageable per shard;
-//! * [`run_daemon`] — the long-lived `youtiao serve` session: a
-//!   newline-framed JSONL protocol ([`proto`]) with request ids and an
-//!   in-band `ping`/`stats`/`shutdown` control plane, deterministic
-//!   canonical responses, and [`AdmissionController`] policy (bounded
-//!   queue, per-client in-flight caps, deadline-aware shedding).
+//! * [`run_daemon`] — the one serving session behind `youtiao serve`,
+//!   `batch` and `chaos`: newline-framed JSONL in ([`proto`]), one line
+//!   out per frame in request order, duplicate keys coalesced,
+//!   [`AdmissionController`] policy (bounded queue, per-client in-flight
+//!   caps, deadline-aware shedding) and [`ServeMetrics`] at the end.
+//!   The [`Protocol`] picks the line formats: op frames with request
+//!   ids, canonical `design` responses and an in-band
+//!   `ping`/`stats`/`shutdown` control plane for the daemon, or bare
+//!   request lines and [`JobRecord`] lines for batch runs.
 //!
 //! The crate is pipeline-agnostic: jobs produce any `R: Clone + Send +
 //! Serialize + Deserialize`, and the executor closure supplies the
@@ -38,7 +39,6 @@
 //! graph acyclic.
 
 pub mod admission;
-pub mod batch;
 pub mod cache;
 pub mod cancel;
 pub mod daemon;
@@ -51,13 +51,11 @@ pub mod request;
 pub mod shard;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-pub use batch::{
-    parse_requests, run_batch, run_batch_sharded, run_batch_stream, run_batch_stream_with_cache,
-    run_batch_with_cache, BatchError, BatchOptions,
-};
 pub use cache::{content_key, CacheLoadError, CacheStats, PlanCache};
 pub use cancel::{CancelToken, Cancelled};
-pub use daemon::{run_daemon, run_daemon_session, DaemonOptions, DaemonReport};
+pub use daemon::{
+    run_daemon, run_daemon_session, BatchError, DaemonOptions, DaemonReport, Protocol,
+};
 pub use fault::{
     apply_cache_fault, CacheFault, FaultCounters, FaultInjector, FaultKind, FaultPlan,
     OverloadBurst, RequestMutator,

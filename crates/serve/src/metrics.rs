@@ -52,7 +52,7 @@ pub struct ServeMetrics {
     /// Per-shard cache and latency aggregates, indexed by shard (empty
     /// when the run used a flat, unsharded cache).
     pub shards: Vec<ShardStat>,
-    /// Admission-control counters (all zero outside daemon sessions).
+    /// Admission-control counters of the session.
     pub admission: AdmissionStats,
     /// Faults injected during the run, by kind (all zero outside chaos
     /// runs).

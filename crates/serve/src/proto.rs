@@ -102,6 +102,10 @@ pub enum OpKind {
     Shutdown,
 }
 
+/// The client name of frames that carry none, and of every
+/// [`Protocol::Batch`](crate::daemon::Protocol::Batch) line.
+pub const ANON_CLIENT: &str = "anon";
+
 /// One parsed request frame. All fields optional, so control frames
 /// (`{"op":"ping"}`) and bare batch lines (a `DesignRequest` object
 /// under `request`) both parse.
@@ -112,7 +116,7 @@ pub struct DaemonRequest {
     /// Caller-chosen request id, echoed in the response.
     pub rid: Option<String>,
     /// Client name for per-client admission accounting (default
-    /// `"anon"`).
+    /// [`ANON_CLIENT`]).
     pub client: Option<String>,
     /// The design request payload (a `DesignRequest` object), for
     /// `design` frames.
@@ -135,7 +139,7 @@ impl DaemonRequest {
 
     /// The client name for admission accounting.
     pub fn client_name(&self) -> &str {
-        self.client.as_deref().unwrap_or("anon")
+        self.client.as_deref().unwrap_or(ANON_CLIENT)
     }
 }
 

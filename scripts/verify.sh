@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build + tests, a batch smoke run with plan
-# validation + stage tracing plus a byte-identity cmp across
-# --plan-threads, a sweep smoke run (JSONL schema, Pareto
+# Repo verification: tier-1 build + tests (plus the serving crate's
+# unit and doc tests), a batch smoke run with plan validation + stage
+# tracing plus byte-identity cmps across --plan-threads and across
+# --jobs/--shards, a sweep smoke run (JSONL schema, Pareto
 # front, thread-count determinism), repair smoke runs (pinned drift
 # change set -> pinned repaired-plan hash, structural fallback pin,
 # bench-repair schema), a chaos smoke run (seeded fault injection,
@@ -22,6 +23,9 @@ if [[ "${1:-}" != "--smoke-only" ]]; then
 
   echo "==> tier 1: cargo test -q"
   cargo test -q --offline
+
+  echo "==> tier 1: cargo test -q -p youtiao-serve"
+  cargo test -q --offline -p youtiao-serve
 
   if [[ "${1:-}" == "--tier1-only" ]]; then
     echo "verify: tier-1 OK"
@@ -78,6 +82,22 @@ for pt in 2 8; do
   fi
 done
 echo "  batch plan-threads OK: byte-identical results at 1/2/8 threads"
+
+echo "==> smoke: youtiao batch (request-order records, byte-identical across --jobs/--shards)"
+# Records come out in request order, so the cmp needs no sort: worker
+# and shard counts must be invisible in the canonical output bytes.
+cargo run -q --release --offline --bin youtiao -- batch \
+  --in examples/batch_jobs.jsonl --out "$smoke_dir/results_j1.jsonl" \
+  --jobs 1 --canonical 2> /dev/null
+cargo run -q --release --offline --bin youtiao -- batch \
+  --in examples/batch_jobs.jsonl --out "$smoke_dir/results_j4s3.jsonl" \
+  --jobs 4 --shards 3 --canonical 2> /dev/null
+if ! cmp -s "$smoke_dir/results_j1.jsonl" "$smoke_dir/results_j4s3.jsonl"; then
+  echo "verify: FAILED — batch output differs between --jobs 1 and --jobs 4 --shards 3" >&2
+  diff "$smoke_dir/results_j1.jsonl" "$smoke_dir/results_j4s3.jsonl" >&2 || true
+  exit 1
+fi
+echo "  batch order OK: byte-identical unsorted records at --jobs 1 and --jobs 4 --shards 3"
 
 echo "==> smoke: youtiao sweep (2x2 grid, determinism across threads)"
 # -q keeps cargo's own stderr chatter out of the captured summary JSON

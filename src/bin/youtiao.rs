@@ -17,7 +17,9 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use youtiao::bench::perf::{Layout, PerfConfig};
@@ -34,9 +36,8 @@ use youtiao::repair::{
     diff_inputs, repair_plan, replan_from_snapshot, PlanInputs, QualityReport, RepairConfig,
 };
 use youtiao::serve::{
-    apply_cache_fault, content_key, near_square, parse_requests, run_design_batch,
-    run_design_batch_stream, run_design_daemon, shard_file, AdmissionConfig, BatchOptions,
-    DaemonOptions, DaemonReport, DesignRequest, FaultPlan,
+    content_key, near_square, run_design_batch, run_design_daemon, AdmissionConfig, DaemonOptions,
+    DaemonReport, FaultPlan, ServeMetrics,
 };
 use youtiao::xplore::{parse_objectives, run_sweep, write_csv, SweepOptions, SweepSpec};
 
@@ -74,9 +75,11 @@ usage:
                  [--deadline-ms T] [--retries R] [--cache FILE]
                  [--cache-capacity N] [--shards N]
                  [--metrics-json] [--trace-json FILE] [--validate] [--canonical]
-                 (--in - reads stdin; input streams through the framed reader one
-                  line at a time, so the jobs file never loads whole; --out
-                  defaults to stdout; metrics go to stderr;
+                 (a daemon session over the jobs file: --in - reads stdin; input
+                  streams through the framed reader one line at a time, so the
+                  jobs file never loads whole; records come out in request
+                  order, repeated requests coalesced onto one computation;
+                  --out defaults to stdout; metrics go to stderr;
                   --jobs/--workers/--threads are synonyms: worker threads, 0 = one
                   per core (the default); --plan-threads parallelizes inside each
                   plan — plans are byte-identical at any value; left at 0 it
@@ -112,8 +115,9 @@ usage:
                   errors, panics, delays and cancellations, an abort-after
                   threshold, and cache-file corruption; --seed overrides the
                   plan's seed; --faults defaults to the built-in smoke plan;
-                  records are emitted canonical — zero latency, no trace — so
-                  equal seeds give byte-identical streams after an index sort)
+                  records are emitted canonical — zero latency, no trace — and
+                  in request order, so equal seeds give byte-identical streams;
+                  the plan's cache-file faults apply as in serve --faults)
   youtiao sweep  --spec FILE.json [--out FILE.jsonl] [--csv FILE.csv] [--threads N]
                  [--plan-threads N] [--pareto cost,coax,fidelity,latency]
                  [--cache FILE]
@@ -271,7 +275,7 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        "batch" => run_batch_command(&flags),
+        "batch" => run_batch_command(&flags, None),
         "chaos" => run_chaos_command(&flags),
         "serve" => run_serve_command(&flags),
         "sweep" => run_sweep_command(&flags),
@@ -281,74 +285,49 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The `batch` subcommand: JSONL requests in, JSONL records out,
-/// metrics summary on stderr. Input streams through the framed reader
-/// one line at a time — the jobs file is never materialized in memory.
-fn run_batch_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
-    let options = batch_options(flags)?;
-    let input = flags
+/// The `batch` subcommand — and, under a fault plan, `chaos`: a daemon
+/// session in the batch protocol. JSONL requests stream in through the
+/// framed reader one line at a time (the jobs file is never
+/// materialized), JSONL records come out in request order, and the
+/// metrics summary goes to stderr.
+fn run_batch_command(
+    flags: &HashMap<String, Option<String>>,
+    faults: Option<FaultPlan>,
+) -> Result<(), String> {
+    let path = flags
         .get("in")
         .and_then(|v| v.clone())
         .ok_or("requires --in FILE (JSONL; `-` reads stdin)")?;
-    let metrics = if input == "-" {
-        with_output(flags, |mut out| {
-            run_design_batch_stream(std::io::stdin().lock(), &options, &mut out)
-        })?
-    } else {
-        let file = std::fs::File::open(&input).map_err(|e| format!("{input}: {e}"))?;
-        let reader = std::io::BufReader::new(file);
-        with_output(flags, move |mut out| {
-            run_design_batch_stream(reader, &options, &mut out)
-        })?
+    let chaos = faults.is_some();
+    let options = DaemonOptions {
+        canonical: chaos || flags.contains_key("canonical"),
+        cache_salvage: chaos,
+        trace_json: match flags.get("trace-json") {
+            None => None,
+            Some(Some(path)) => Some(PathBuf::from(path)),
+            Some(None) => return Err("--trace-json expects a file path".into()),
+        },
+        faults,
+        ..session_options(flags)?
     };
+    let input: Box<dyn BufRead + Send> = if path == "-" {
+        Box::new(BufReader::new(std::io::stdin()))
+    } else {
+        let file = File::open(&path).map_err(|e| format!("{path}: {e}"))?;
+        Box::new(BufReader::new(file))
+    };
+    let metrics = with_output(flags, |mut out| run_design_batch(&options, input, &mut out))?;
     report_metrics(&metrics, flags);
     Ok(())
 }
 
 /// The `chaos` subcommand: a batch run under a deterministic seeded
 /// fault-injection schedule. Records are emitted canonical (latency
-/// zeroed, traces stripped) so two equal-seed runs are byte-identical
-/// after an index sort, and a torn cache file salvages to a cold start
-/// instead of failing the run.
+/// zeroed, traces stripped) so two equal-seed runs are byte-identical,
+/// and a torn cache file salvages to a cold start instead of failing
+/// the run.
 fn run_chaos_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
-    let requests = read_requests(flags)?;
-    let mut plan = match flags.get("faults") {
-        None => FaultPlan::smoke(0),
-        Some(Some(path)) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            serde_json::from_str::<FaultPlan>(&text).map_err(|e| format!("{path}: {e}"))?
-        }
-        Some(None) => return Err("--faults expects a file path".into()),
-    };
-    if let Some(Some(seed)) = flags.get("seed") {
-        plan.seed = Some(seed.parse().map_err(|_| "--seed expects an integer")?);
-    }
-    plan.validate().map_err(|e| format!("fault plan: {e}"))?;
-
-    let mut options = batch_options(flags)?;
-    // Sharded caches persist one file per shard: the torn-write fault
-    // mangles shard 0's file, and the shard-loss fault deletes the
-    // named shard's file — both leave the other shards intact.
-    if let (Some(fault), Some(path)) = (plan.cache_fault, &options.cache_path) {
-        let target = shard_file(path, 0, options.shards.max(1));
-        if target.exists() {
-            apply_cache_fault(&target, fault).map_err(|e| format!("{}: {e}", target.display()))?;
-            eprintln!(
-                "chaos: applied cache fault {fault:?} to {}",
-                target.display()
-            );
-        }
-    }
-    if let (Some(lost), Some(path)) = (plan.shard_loss, &options.cache_path) {
-        let target = shard_file(path, lost, options.shards.max(1));
-        if target.exists() {
-            std::fs::remove_file(&target).map_err(|e| format!("{}: {e}", target.display()))?;
-            eprintln!("chaos: applied shard-loss fault to {}", target.display());
-        }
-    }
-    options.faults = Some(plan);
-    options.canonical = true;
-    options.cache_salvage = true;
+    let plan = fault_plan(flags, Some(FaultPlan::smoke(0)))?;
 
     // Scheduled panics are contained by the pool (they become Internal
     // error records); keep their default hook output — a "thread
@@ -367,29 +346,36 @@ fn run_chaos_command(flags: &HashMap<String, Option<String>>) -> Result<(), Stri
         }
     }));
 
-    run_and_report(&requests, &options, flags)
+    run_batch_command(flags, plan)
 }
 
-/// Reads the `--in` JSONL request file (`-` for stdin).
-fn read_requests(flags: &HashMap<String, Option<String>>) -> Result<Vec<DesignRequest>, String> {
-    let input = flags
-        .get("in")
-        .and_then(|v| v.clone())
-        .ok_or("requires --in FILE (JSONL; `-` reads stdin)")?;
-    let text = if input == "-" {
-        let mut text = String::new();
-        std::io::stdin()
-            .read_to_string(&mut text)
-            .map_err(|e| format!("stdin: {e}"))?;
-        text
-    } else {
-        std::fs::read_to_string(&input).map_err(|e| format!("{input}: {e}"))?
+/// The `--faults FILE` plan (or `default` without the flag), with
+/// `--seed` overriding its seed, validated.
+fn fault_plan(
+    flags: &HashMap<String, Option<String>>,
+    default: Option<FaultPlan>,
+) -> Result<Option<FaultPlan>, String> {
+    let mut plan = match flags.get("faults") {
+        None => default,
+        Some(Some(path)) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            Some(serde_json::from_str::<FaultPlan>(&text).map_err(|e| format!("{path}: {e}"))?)
+        }
+        Some(None) => return Err("--faults expects a file path".into()),
     };
-    parse_requests(&text).map_err(|e| e.to_string())
+    if let Some(Some(seed)) = flags.get("seed") {
+        let seed = seed.parse().map_err(|_| "--seed expects an integer")?;
+        plan.get_or_insert_with(FaultPlan::default).seed = Some(seed);
+    }
+    if let Some(plan) = &plan {
+        plan.validate().map_err(|e| format!("fault plan: {e}"))?;
+    }
+    Ok(plan)
 }
 
-/// The batch flags shared by `batch` and `chaos`.
-fn batch_options(flags: &HashMap<String, Option<String>>) -> Result<BatchOptions, String> {
+/// The session flags `batch`, `chaos` and `serve` share; each command
+/// sets its own extras on top.
+fn session_options(flags: &HashMap<String, Option<String>>) -> Result<DaemonOptions, String> {
     let deadline_ms = match flags.get("deadline-ms") {
         None => None,
         Some(Some(v)) => Some(
@@ -400,31 +386,25 @@ fn batch_options(flags: &HashMap<String, Option<String>>) -> Result<BatchOptions
     };
     // `--jobs`, `--workers` and `--threads` are synonyms for the pool
     // size; 0 (the default) spawns one worker per available core.
-    let jobs = ["jobs", "workers", "threads"]
+    let workers = ["jobs", "workers", "threads"]
         .iter()
         .find(|key| flags.contains_key(**key))
         .map(|key| get_usize(flags, key, 0))
         .transpose()?
         .unwrap_or(0);
-    Ok(BatchOptions {
-        jobs,
+    Ok(DaemonOptions {
+        workers,
         plan_threads: get_usize(flags, "plan-threads", 0)?,
-        deadline_ms,
         max_retries: get_usize(flags, "retries", 2)? as u32,
+        deadline_ms,
         cache_capacity: get_usize(flags, "cache-capacity", 1024)?,
+        shards: get_usize(flags, "shards", 1)?.max(1),
         cache_path: flags
             .get("cache")
             .and_then(|v| v.clone())
-            .map(std::path::PathBuf::from),
-        trace_json: match flags.get("trace-json") {
-            None => None,
-            Some(Some(path)) => Some(std::path::PathBuf::from(path)),
-            Some(None) => return Err("--trace-json expects a file path".into()),
-        },
+            .map(PathBuf::from),
         validate: flags.contains_key("validate"),
-        canonical: flags.contains_key("canonical"),
-        shards: get_usize(flags, "shards", 1)?.max(1),
-        ..BatchOptions::default()
+        ..DaemonOptions::default()
     })
 }
 
@@ -439,7 +419,7 @@ fn with_output<T>(
         .filter(|v| v != "-");
     match out {
         Some(path) => {
-            let file = std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
+            let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
             let mut writer = std::io::BufWriter::new(file);
             run(&mut writer).map_err(|e| e.to_string())
         }
@@ -450,8 +430,26 @@ fn with_output<T>(
     }
 }
 
+/// Prints one daemon session's summary + metrics to stderr.
+fn report_daemon(report: &DaemonReport, flags: &HashMap<String, Option<String>>) {
+    if !flags.contains_key("metrics-json") {
+        let mut line = format!(
+            "session: {} requests, {} responses",
+            report.requests, report.responses
+        );
+        if report.salvaged_shards > 0 {
+            line.push_str(&format!(", {} shards salvaged", report.salvaged_shards));
+        }
+        if report.shutdown {
+            line.push_str(", shutdown");
+        }
+        eprintln!("{line}");
+    }
+    report_metrics(&report.metrics, flags);
+}
+
 /// Prints the metrics summary to stderr (JSON with `--metrics-json`).
-fn report_metrics(metrics: &youtiao::serve::ServeMetrics, flags: &HashMap<String, Option<String>>) {
+fn report_metrics(metrics: &ServeMetrics, flags: &HashMap<String, Option<String>>) {
     if flags.contains_key("metrics-json") {
         match serde_json::to_string_pretty(metrics) {
             Ok(json) => eprintln!("{json}"),
@@ -462,36 +460,10 @@ fn report_metrics(metrics: &youtiao::serve::ServeMetrics, flags: &HashMap<String
     }
 }
 
-/// Runs the batch to `--out` (default stdout) and prints the metrics
-/// summary to stderr (JSON with `--metrics-json`).
-fn run_and_report(
-    requests: &[DesignRequest],
-    options: &BatchOptions,
-    flags: &HashMap<String, Option<String>>,
-) -> Result<(), String> {
-    let metrics = with_output(flags, |mut out| {
-        run_design_batch(requests, options, &mut out)
-    })?;
-    report_metrics(&metrics, flags);
-    Ok(())
-}
-
-/// The serve flags: daemon session + admission policy configuration.
-fn daemon_options(flags: &HashMap<String, Option<String>>) -> Result<DaemonOptions, String> {
-    let deadline_ms = match flags.get("deadline-ms") {
-        None => None,
-        Some(Some(v)) => Some(
-            v.parse()
-                .map_err(|_| "--deadline-ms expects milliseconds")?,
-        ),
-        Some(None) => return Err("--deadline-ms expects a value".into()),
-    };
-    let workers = ["jobs", "workers", "threads"]
-        .iter()
-        .find(|key| flags.contains_key(**key))
-        .map(|key| get_usize(flags, key, 0))
-        .transpose()?
-        .unwrap_or(0);
+/// The `serve` subcommand: a long-lived daemon session over
+/// stdin/stdout, or an accept loop on a unix socket with `--socket`
+/// (one session per connection; an in-band shutdown stops the daemon).
+fn run_serve_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
     let est_ms = match flags.get("est-ms") {
         None => 0.0,
         Some(Some(v)) => {
@@ -508,76 +480,20 @@ fn daemon_options(flags: &HashMap<String, Option<String>>) -> Result<DaemonOptio
         }
         Some(None) => return Err("--est-ms expects a value".into()),
     };
-    let mut faults = match flags.get("faults") {
-        None => None,
-        Some(Some(path)) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(serde_json::from_str::<FaultPlan>(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        Some(None) => return Err("--faults expects a file path".into()),
-    };
-    if let Some(Some(seed)) = flags.get("seed") {
-        let seed = seed.parse().map_err(|_| "--seed expects an integer")?;
-        faults.get_or_insert_with(FaultPlan::default).seed = Some(seed);
-    }
-    if let Some(plan) = &faults {
-        plan.validate().map_err(|e| format!("fault plan: {e}"))?;
-    }
-    Ok(DaemonOptions {
-        workers,
-        plan_threads: get_usize(flags, "plan-threads", 0)?,
-        max_retries: get_usize(flags, "retries", 2)? as u32,
-        deadline_ms,
-        cache_capacity: get_usize(flags, "cache-capacity", 1024)?,
-        shards: get_usize(flags, "shards", 1)?.max(1),
-        cache_path: flags
-            .get("cache")
-            .and_then(|v| v.clone())
-            .map(std::path::PathBuf::from),
+    let options = DaemonOptions {
         cache_salvage: flags.contains_key("salvage"),
         canonical: !flags.contains_key("no-canonical"),
-        trace: false,
-        validate: flags.contains_key("validate"),
-        faults,
+        faults: fault_plan(flags, None)?,
         admission: AdmissionConfig {
             max_queue: get_usize(flags, "max-queue", 1024)?.max(1),
             client_inflight: get_usize(flags, "client-inflight", 0)?,
             est_ms,
         },
-    })
-}
-
-/// Prints one daemon session's summary + metrics to stderr.
-fn report_daemon(report: &DaemonReport, flags: &HashMap<String, Option<String>>) {
-    if flags.contains_key("metrics-json") {
-        match serde_json::to_string_pretty(&report.metrics) {
-            Ok(json) => eprintln!("{json}"),
-            Err(e) => eprintln!("metrics: {e}"),
-        }
-        return;
-    }
-    let mut line = format!(
-        "session: {} requests, {} responses",
-        report.requests, report.responses
-    );
-    if report.salvaged_shards > 0 {
-        line.push_str(&format!(", {} shards salvaged", report.salvaged_shards));
-    }
-    if report.shutdown {
-        line.push_str(", shutdown");
-    }
-    eprintln!("{line}");
-    eprintln!("{}", report.metrics.render());
-}
-
-/// The `serve` subcommand: a long-lived daemon session over
-/// stdin/stdout, or an accept loop on a unix socket with `--socket`
-/// (one session per connection; an in-band shutdown stops the daemon).
-fn run_serve_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
-    let options = daemon_options(flags)?;
+        ..session_options(flags)?
+    };
     match flags.get("socket") {
         None => {
-            let reader = std::io::BufReader::new(std::io::stdin());
+            let reader = BufReader::new(std::io::stdin());
             let stdout = std::io::stdout();
             let report = run_design_daemon(&options, reader, &mut stdout.lock())
                 .map_err(|e| e.to_string())?;
@@ -609,7 +525,7 @@ fn serve_socket(
             Err(e) => break Err(format!("{path}: accept: {e}")),
         };
         let reader = match stream.try_clone() {
-            Ok(clone) => std::io::BufReader::new(clone),
+            Ok(clone) => BufReader::new(clone),
             Err(e) => break Err(format!("{path}: {e}")),
         };
         let mut writer = std::io::BufWriter::new(stream);
@@ -647,7 +563,7 @@ fn run_sweep_command(flags: &HashMap<String, Option<String>>) -> Result<(), Stri
         cache_path: flags
             .get("cache")
             .and_then(|v| v.clone())
-            .map(std::path::PathBuf::from),
+            .map(PathBuf::from),
         ..SweepOptions::default()
     };
     match flags.get("pareto") {

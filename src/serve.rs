@@ -4,11 +4,12 @@
 //! type); this module instantiates it with the real thing:
 //! [`design_executor`] runs [`design_chip_with_cancel`] for a
 //! [`DesignRequest`], classifying [`DesignError`]s into the pool's
-//! transient/permanent retry taxonomy, and [`run_design_batch`] is the
-//! one-call JSONL batch service behind `youtiao batch` — and, with
-//! [`BatchOptions::faults`] set, behind `youtiao chaos`: injected
-//! faults flow through the same classification and retry path as real
-//! pipeline failures.
+//! transient/permanent retry taxonomy. [`run_design_daemon`] (behind
+//! `youtiao serve`) and [`run_design_batch`] (behind `youtiao batch`
+//! and — with [`DaemonOptions::faults`] set — `youtiao chaos`) are the
+//! same session over the same executor, differing only in the line
+//! [`Protocol`]: injected faults flow through the same classification
+//! and retry path as real pipeline failures.
 //!
 //! Requests carrying a [`DeltaSpec`] take the warm repair path instead:
 //! the base plan is looked up in (or computed into) a [`RepairStore`]
@@ -19,20 +20,18 @@
 //! # Example
 //!
 //! ```
-//! use youtiao::serve::{
-//!     run_design_batch, BatchOptions, ChipRequest, DesignRequest,
-//! };
+//! use std::io::Cursor;
+//! use youtiao::serve::{run_design_batch, DaemonOptions};
 //!
-//! let requests = vec![DesignRequest::new(ChipRequest::grid("square", 3, 3))];
+//! let jobs = Cursor::new(r#"{"chip":{"topology":"square","rows":3,"cols":3}}"#);
 //! let mut out = Vec::new();
-//! let metrics =
-//!     run_design_batch(&requests, &BatchOptions::default(), &mut out).unwrap();
+//! let metrics = run_design_batch(&DaemonOptions::default(), jobs, &mut out).unwrap();
 //! assert_eq!(metrics.ok, 1);
 //! assert!(std::str::from_utf8(&out).unwrap().contains("\"status\":\"Ok\""));
 //! ```
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -91,7 +90,7 @@ type StoreShard = Mutex<HashMap<u64, Arc<DesignReport>>>;
 /// starts from. The store is capacity-capped: once full, new bases are
 /// still planned but not retained. Cloning shares the entries and the
 /// hit/miss/fallback counters, so the executor (moved into pool
-/// threads) and the batch front-end observe the same state.
+/// threads) and the session reporting them observe the same state.
 ///
 /// Like the plan cache, the store shards by
 /// [`shard_of_key`](youtiao_serve::shard_of_key): each shard has its
@@ -475,73 +474,25 @@ fn delta_chip(chip: &Chip, delta: &DeltaSpec) -> Result<Chip, ExecError> {
     spec.to_chip().map_err(|e| invalid(e.to_string()))
 }
 
-/// Runs a batch of design requests through the worker pool + plan
-/// cache, streaming one JSON record per job into `out`, and returns the
-/// run's [`ServeMetrics`].
+/// One `youtiao batch` run over the real design flow: bare JSONL
+/// requests in (framed one line at a time), one JSON [`JobRecord`] per
+/// job out, in request order. Returns the run's [`ServeMetrics`].
 ///
 /// # Errors
 ///
-/// Returns [`BatchError`] for input/output problems only; per-job
-/// failures (bad requests, plan errors, timeouts) are emitted as
-/// structured error records.
-pub fn run_design_batch<W: Write>(
-    requests: &[DesignRequest],
-    options: &BatchOptions,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError> {
-    let store = RepairStore::default();
-    let threads = batch_plan_threads(options);
-    let metrics = run_batch(
-        requests,
-        repairing_design_executor_threads(options.validate, store.clone(), threads),
-        options,
-        out,
-    )?;
-    Ok(metrics.with_repair(store.stats()))
-}
-
-/// [`run_design_batch`] against a caller-owned [`PlanCache`], for warm
-/// in-process reuse across batches.
-pub fn run_design_batch_with_cache<W: Write>(
-    requests: &[DesignRequest],
-    options: &BatchOptions,
-    cache: &PlanCache<ReportSummary>,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError> {
-    let store = RepairStore::default();
-    let threads = batch_plan_threads(options);
-    let metrics = run_batch_with_cache(
-        requests,
-        repairing_design_executor_threads(options.validate, store.clone(), threads),
-        options,
-        cache,
-        out,
-    )?;
-    Ok(metrics.with_repair(store.stats()))
-}
-
-/// The streaming variant of [`run_design_batch`]: reads framed JSONL
-/// requests from `input` one line at a time instead of materializing
-/// the whole jobs file, dispatching through a sharded plan cache
-/// (`options.shards`, min 1).
-pub fn run_design_batch_stream<In, W>(
+/// Returns [`BatchError`] for input/output problems only — a malformed
+/// line is [`BatchError::Parse`]; per-job failures (bad requests, plan
+/// errors, timeouts) are emitted as structured error records.
+pub fn run_design_batch<In, Out>(
+    options: &DaemonOptions,
     input: In,
-    options: &BatchOptions,
-    out: &mut W,
+    output: &mut Out,
 ) -> Result<ServeMetrics, BatchError>
 where
-    In: std::io::BufRead,
-    W: Write,
+    In: BufRead + Send + 'static,
+    Out: Write,
 {
-    let store = RepairStore::sharded(256, options.shards.max(1));
-    let threads = batch_plan_threads(options);
-    let metrics = run_batch_stream(
-        input,
-        repairing_design_executor_threads(options.validate, store.clone(), threads),
-        options,
-        out,
-    )?;
-    Ok(metrics.with_repair(store.stats()))
+    run_design_session(Protocol::Batch, options, input, output).map(|report| report.metrics)
 }
 
 /// One `youtiao serve` daemon session over the real design flow:
@@ -554,7 +505,22 @@ pub fn run_design_daemon<In, Out>(
     output: &mut Out,
 ) -> Result<DaemonReport, BatchError>
 where
-    In: std::io::BufRead + Send + 'static,
+    In: BufRead + Send + 'static,
+    Out: Write,
+{
+    run_design_session(Protocol::Daemon, options, input, output)
+}
+
+/// [`run_daemon`] over the repairing design executor, with the
+/// intra-plan thread count resolved against the pool width.
+fn run_design_session<In, Out>(
+    protocol: Protocol,
+    options: &DaemonOptions,
+    input: In,
+    output: &mut Out,
+) -> Result<DaemonReport, BatchError>
+where
+    In: BufRead + Send + 'static,
     Out: Write,
 {
     let store = RepairStore::sharded(256, options.shards.max(1));
@@ -565,6 +531,7 @@ where
     .effective_workers();
     let threads = effective_plan_threads(options.plan_threads, workers);
     let mut report = run_daemon(
+        protocol,
         repairing_design_executor_threads(options.validate, store.clone(), threads),
         options,
         input,
@@ -572,18 +539,6 @@ where
     )?;
     report.metrics = report.metrics.with_repair(store.stats());
     Ok(report)
-}
-
-/// Resolve a batch run's intra-plan thread count: the pool width comes
-/// from `jobs` (0 = per-core), then [`effective_plan_threads`] applies
-/// the oversubscription policy against `plan_threads`.
-fn batch_plan_threads(options: &BatchOptions) -> usize {
-    let workers = PoolOptions {
-        workers: options.jobs,
-        ..Default::default()
-    }
-    .effective_workers();
-    effective_plan_threads(options.plan_threads, workers)
 }
 
 #[cfg(test)]
@@ -631,22 +586,23 @@ mod tests {
             }
         }));
 
-        let requests: Vec<DesignRequest> = (0..8)
+        let jobs: String = (0..8)
             .map(|i| {
                 let mut r = DesignRequest::new(ChipRequest::grid("square", 2 + i % 3, 2));
                 r.id = Some(format!("chaos{i}"));
-                r
+                serde_json::to_string(&r).unwrap() + "\n"
             })
             .collect();
         let run = || {
-            let options = BatchOptions {
-                jobs: 3,
+            let options = DaemonOptions {
+                workers: 3,
                 faults: Some(FaultPlan::smoke(11)),
                 canonical: true,
                 ..Default::default()
             };
             let mut out = Vec::new();
-            let metrics = run_design_batch(&requests, &options, &mut out).unwrap();
+            let metrics =
+                run_design_batch(&options, std::io::Cursor::new(jobs.clone()), &mut out).unwrap();
             let mut lines: Vec<String> = String::from_utf8(out)
                 .unwrap()
                 .lines()

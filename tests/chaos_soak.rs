@@ -14,9 +14,9 @@ use std::time::Duration;
 
 use youtiao::serve::{
     apply_cache_fault, run_design_batch, run_design_daemon, shard_file, shard_of_key,
-    AdmissionConfig, BatchOptions, CacheFault, ChipRequest, DaemonOptions, DesignRequest,
-    ErrorKind, ExecError, Executor, FaultInjector, FaultKind, FaultPlan, JobStatus, OverloadBurst,
-    PoolOptions, WorkerPool,
+    AdmissionConfig, CacheFault, ChipRequest, DaemonOptions, DesignRequest, ErrorKind, ExecError,
+    Executor, FaultInjector, FaultKind, FaultPlan, JobStatus, OverloadBurst, PoolOptions,
+    WorkerPool,
 };
 
 /// Injected panics are caught by the pool and turned into records; keep
@@ -204,6 +204,15 @@ fn abort_never_leaves_a_registered_job_uncancelled() {
     }
 }
 
+/// `requests` as a batch JSONL stream, one request per line.
+fn jsonl(requests: &[DesignRequest]) -> std::io::Cursor<String> {
+    let lines: Vec<String> = requests
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+    std::io::Cursor::new(lines.join("\n"))
+}
+
 #[test]
 fn torn_cache_file_fails_loudly_then_salvages_end_to_end() {
     let path = std::env::temp_dir().join(format!(
@@ -218,18 +227,18 @@ fn torn_cache_file_fails_loudly_then_salvages_end_to_end() {
             r
         })
         .collect();
-    let base = BatchOptions {
-        jobs: 2,
+    let base = DaemonOptions {
+        workers: 2,
         cache_path: Some(path.clone()),
         ..Default::default()
     };
-    run_design_batch(&requests, &base, &mut Vec::new()).unwrap();
+    run_design_batch(&base, jsonl(&requests), &mut Vec::new()).unwrap();
     assert!(path.exists(), "first run did not persist the cache");
 
     // Tear the snapshot the way `youtiao chaos` does, then require the
     // structured failure (no silent empty-cache fallback) ...
     apply_cache_fault(&path, CacheFault::Truncate).unwrap();
-    let err = run_design_batch(&requests, &base, &mut Vec::new())
+    let err = run_design_batch(&base, jsonl(&requests), &mut Vec::new())
         .err()
         .unwrap();
     let message = err.to_string();
@@ -237,14 +246,14 @@ fn torn_cache_file_fails_loudly_then_salvages_end_to_end() {
 
     // ... unless salvage is opted in, which starts empty and rewrites a
     // healthy snapshot (atomically) that the next run hits fully.
-    let salvage = BatchOptions {
+    let salvage = DaemonOptions {
         cache_salvage: true,
         ..base.clone()
     };
-    let metrics = run_design_batch(&requests, &salvage, &mut Vec::new()).unwrap();
+    let metrics = run_design_batch(&salvage, jsonl(&requests), &mut Vec::new()).unwrap();
     assert_eq!(metrics.ok, 3);
     assert_eq!(metrics.cache_hits, 0);
-    let rerun = run_design_batch(&requests, &base, &mut Vec::new()).unwrap();
+    let rerun = run_design_batch(&base, jsonl(&requests), &mut Vec::new()).unwrap();
     assert_eq!(rerun.cache_hits, 3, "salvaged snapshot was not rewritten");
     let _ = std::fs::remove_file(&path);
 }
@@ -266,8 +275,8 @@ fn drift_faults_exercise_the_repair_warm_path_deterministically() {
         })
         .collect();
     let run = || {
-        let options = BatchOptions {
-            jobs: 3,
+        let options = DaemonOptions {
+            workers: 3,
             faults: Some(FaultPlan {
                 seed: Some(13),
                 drift_rate: Some(0.5),
@@ -277,7 +286,7 @@ fn drift_faults_exercise_the_repair_warm_path_deterministically() {
             ..Default::default()
         };
         let mut out = Vec::new();
-        let metrics = run_design_batch(&requests, &options, &mut out).unwrap();
+        let metrics = run_design_batch(&options, jsonl(&requests), &mut out).unwrap();
         let mut lines: Vec<String> = String::from_utf8(out)
             .unwrap()
             .lines()

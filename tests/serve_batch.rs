@@ -2,11 +2,12 @@
 //! counts, warm-cache reuse, structured per-job failures, and the
 //! `youtiao batch` CLI.
 
+use std::io::Cursor;
 use std::process::Command;
 
 use serde::Value;
 use youtiao::serve::{
-    parse_requests, run_design_batch, run_design_batch_with_cache, BatchOptions, PlanCache,
+    design_executor, run_daemon_session, run_design_batch, DaemonOptions, Protocol, ShardedCache,
 };
 
 /// The standard sweep used across tests: a few small distinct chips,
@@ -25,14 +26,14 @@ fn sweep_jsonl() -> String {
 /// Runs the sweep at a given worker count and returns `(metrics_ok,
 /// id -> serialized result)` sorted by id.
 fn run_sweep(jobs: usize) -> Vec<(String, String)> {
-    let requests = parse_requests(&sweep_jsonl()).unwrap();
-    let options = BatchOptions {
-        jobs,
+    let requests = sweep_jsonl().lines().count();
+    let options = DaemonOptions {
+        workers: jobs,
         ..Default::default()
     };
     let mut out = Vec::new();
-    let metrics = run_design_batch(&requests, &options, &mut out).unwrap();
-    assert_eq!(metrics.ok, requests.len(), "all sweep jobs succeed");
+    let metrics = run_design_batch(&options, Cursor::new(sweep_jsonl()), &mut out).unwrap();
+    assert_eq!(metrics.ok, requests, "all sweep jobs succeed");
     let mut results: Vec<(String, String)> = std::str::from_utf8(&out)
         .unwrap()
         .lines()
@@ -62,22 +63,30 @@ fn parallel_results_match_serial_byte_for_byte() {
 
 #[test]
 fn warm_cache_answers_everything_identically() {
-    let requests = parse_requests(&sweep_jsonl()).unwrap();
-    let options = BatchOptions::default();
-    let cache = PlanCache::new(64);
+    let requests = sweep_jsonl().lines().count();
+    let options = DaemonOptions::default();
+    let cache = ShardedCache::new(1, 64);
+    let run_with_cache = |out: &mut Vec<u8>| {
+        let input = Cursor::new(sweep_jsonl());
+        run_daemon_session(
+            Protocol::Batch,
+            design_executor(),
+            &options,
+            &cache,
+            input,
+            out,
+        )
+        .map(|report| report.metrics)
+    };
 
     let mut cold_out = Vec::new();
-    let cold = run_design_batch_with_cache(&requests, &options, &cache, &mut cold_out).unwrap();
+    let cold = run_with_cache(&mut cold_out).unwrap();
     assert_eq!(cold.cache_hits, 0);
-    assert_eq!(cold.cache_misses, requests.len() as u64);
+    assert_eq!(cold.cache_misses, requests as u64);
 
     let mut warm_out = Vec::new();
-    let warm = run_design_batch_with_cache(&requests, &options, &cache, &mut warm_out).unwrap();
-    assert_eq!(
-        warm.cache_hits,
-        requests.len() as u64,
-        "every job a cache hit"
-    );
+    let warm = run_with_cache(&mut warm_out).unwrap();
+    assert_eq!(warm.cache_hits, requests as u64, "every job a cache hit");
     assert!((warm.cache_hit_rate - 1.0).abs() < 1e-9);
 
     let result_by_id = |bytes: &[u8]| -> Vec<(String, String)> {
@@ -113,9 +122,8 @@ fn failures_surface_as_structured_records_not_aborts() {
         r#"{"id":"too-slow","chip":{"topology":"square","rows":4,"cols":4},"deadline_ms":0}"#,
     ]
     .join("\n");
-    let requests = parse_requests(&text).unwrap();
     let mut out = Vec::new();
-    let metrics = run_design_batch(&requests, &BatchOptions::default(), &mut out).unwrap();
+    let metrics = run_design_batch(&DaemonOptions::default(), Cursor::new(text), &mut out).unwrap();
 
     assert_eq!(metrics.jobs, 4);
     assert_eq!(metrics.ok, 1);
