@@ -2,7 +2,8 @@
 //!
 //! Times the planner's hot loops — kernels build, TDM grouping and
 //! refinement, frequency allocation on both bands, kernelized vs the
-//! retained naive references — plus the full context-backed plan,
+//! retained naive references — the characterization fit (fit kernel vs
+//! the naive per-forest search), plus the full context-backed plan,
 //! across square-grid chip sizes and any extra [`Layout`]s (rotated
 //! surface codes, heavy-hex patches), and summarizes each stage as
 //! median / p10 / p90 over repeated iterations. The result serializes
@@ -11,11 +12,12 @@
 //! baseline.
 //!
 //! The harness doubles as a coarse differential check: for every size
-//! it asserts the kernelized grouping/refinement/allocation output
-//! equals the naive reference before trusting the timings, that the
-//! parallel partitioned plan is byte-identical to its serial twin, and
-//! that a warmed-up plan loop performs zero fresh scratch allocations.
-//! At 12×12 it asserts the ≥5× freq/readout speedup floor, and at
+//! it asserts the kernelized grouping/refinement/allocation output and
+//! the fitted crosstalk model equal the naive references before
+//! trusting the timings, that the parallel partitioned plan is
+//! byte-identical to its serial twin, and that a warmed-up plan loop
+//! performs zero fresh scratch allocations. At 12×12 it asserts the ≥5×
+//! freq/readout and ≥3× fit speedup floors, and at
 //! 16×16 (with ≥8 plan threads on a host that has the cores) the ≥3×
 //! parallel-planning floor.
 
@@ -39,6 +41,8 @@ use youtiao_core::{
     allocate_frequencies_kernels, group_fdm, FdmLine, FreqKernels, PartitionConfig, PlanContext,
     PlannerConfig, YoutiaoPlanner,
 };
+use youtiao_noise::fit::{self, fit_crosstalk_model, FitConfig};
+use youtiao_noise::{synthesize, CrosstalkKind, SynthConfig};
 
 /// Schema tag written into the report so downstream tooling can detect
 /// format changes. v2 added the frequency-allocation stages
@@ -49,13 +53,29 @@ use youtiao_core::{
 /// rows (`plan_partitioned_serial`, `plan_partitioned_parallel`), the
 /// per-size `threads` / `speedup_parallel` fields, the scratch-arena
 /// reuse probes (`scratch_fresh`, `scratch_reused`), and a 24×24 grid
-/// in the default size list.
-pub const SCHEMA: &str = "youtiao-bench-plan/v3";
+/// in the default size list. v4 adds the characterization fit stages
+/// (`fit_kernel`, `fit_naive`) and the per-size `fit_samples` /
+/// `fit_iterations` / `speedup_fit` fields.
+pub const SCHEMA: &str = "youtiao-bench-plan/v4";
 
 /// Minimum acceptable naive/kernelized median ratio for frequency
 /// allocation (both bands) at 12×12 — asserted whenever a `grid:12`
 /// layout is benchmarked.
 pub const FREQ_SPEEDUP_FLOOR: f64 = 5.0;
+
+/// Minimum acceptable naive/kernel median ratio for the
+/// characterization fit (`FitConfig::paper()` on the chip's synthesized
+/// XY samples) at 12×12 — asserted whenever a `grid:12` layout is
+/// benchmarked.
+pub const FIT_SPEEDUP_FLOOR: f64 = 3.0;
+
+/// Characterization seed of the fit row's synthesized samples.
+const FIT_SEED: u64 = 1;
+
+/// Cap on the fit stages' timed iterations. One naive fit takes over a
+/// minute at 24×24, and at that length a few samples already give a
+/// stable median.
+pub const FIT_MAX_ITERATIONS: usize = 3;
 
 /// Minimum acceptable serial/parallel `plan.total` median ratio for the
 /// partitioned plan at 16×16 — asserted whenever a `grid:16` layout is
@@ -215,8 +235,8 @@ pub struct SizeReport {
     /// (`kernels_build`, `grouping_kernels`, `grouping_naive`,
     /// `refine_kernels`, `refine_naive`, `freq_kernels_build`,
     /// `freq_alloc_kernels`, `freq_alloc_naive`, `readout_kernels`,
-    /// `readout_naive`, `plan_total`, and the planner's hook sub-stages
-    /// prefixed `plan.`).
+    /// `readout_naive`, `fit_kernel`, `fit_naive`, `plan_total`, and
+    /// the planner's hook sub-stages prefixed `plan.`).
     pub stages: BTreeMap<String, StageStats>,
     /// `PairKernels` builds observed while the timed plans ran; must be
     /// 0 — every plan reuses the shared context's kernels.
@@ -253,6 +273,15 @@ pub struct SizeReport {
     /// Naive / kernelized median ratio for readout-band frequency
     /// allocation (≥ [`FREQ_SPEEDUP_FLOOR`] at 12×12).
     pub speedup_readout: f64,
+    /// Synthesized XY samples behind the fit stages (ordered qubit
+    /// pairs).
+    pub fit_samples: usize,
+    /// Timed iterations behind the fit stages (`iterations`, capped at
+    /// [`FIT_MAX_ITERATIONS`]).
+    pub fit_iterations: usize,
+    /// Naive / kernel median ratio for the characterization fit
+    /// (≥ [`FIT_SPEEDUP_FLOOR`] at 12×12).
+    pub speedup_fit: f64,
 }
 
 /// The full harness report (`BENCH_plan.json`).
@@ -280,7 +309,7 @@ impl PerfReport {
             self.iterations, self.contexts_built, self.kernels_built
         ));
         s.push_str(&format!(
-            "{:<8} {:>8} {:>12} {:>12} {:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9}\n",
+            "{:<8} {:>8} {:>12} {:>12} {:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9} {:>10} {:>9}\n",
             "chip",
             "devices",
             "group-k µs",
@@ -291,12 +320,14 @@ impl PerfReport {
             "spd-f",
             "spd-ro",
             "plan µs",
-            "spd-par"
+            "spd-par",
+            "fit-k ms",
+            "spd-fit"
         ));
         for size in &self.sizes {
             let med = |k: &str| size.stages.get(k).map_or(f64::NAN, |s| s.median_us);
             s.push_str(&format!(
-                "{:<8} {:>8} {:>12.1} {:>12.1} {:>8.2}x {:>11.1} {:>11.1} {:>8.2}x {:>8.2}x {:>9.1} {:>8.2}x\n",
+                "{:<8} {:>8} {:>12.1} {:>12.1} {:>8.2}x {:>11.1} {:>11.1} {:>8.2}x {:>8.2}x {:>9.1} {:>8.2}x {:>10.1} {:>8.2}x\n",
                 size.label,
                 size.devices,
                 med("grouping_kernels"),
@@ -308,6 +339,8 @@ impl PerfReport {
                 size.speedup_readout,
                 med("plan_total"),
                 size.speedup_parallel,
+                med("fit_kernel") / 1e3,
+                size.speedup_fit,
             ));
         }
         s
@@ -340,10 +373,12 @@ pub(crate) fn timed<T>(iterations: usize, mut f: impl FnMut() -> T) -> (StageSta
 /// `config.iterations` is 0, the kernelized grouping/refinement/
 /// frequency-allocation output diverges from the naive reference
 /// (which would make the timings meaningless), a parallel partitioned
-/// plan differs from its serial twin, a context-backed plan allocates
-/// a fresh scratch buffer after warmup, a `grid:12` layout misses the
-/// [`FREQ_SPEEDUP_FLOOR`], or a `grid:16` layout misses the
-/// [`PARALLEL_SPEEDUP_FLOOR`] on a host with the cores for it.
+/// plan differs from its serial twin, the fit kernel's model differs
+/// from the naive search's, a context-backed plan allocates a fresh
+/// scratch buffer after warmup, a `grid:12` layout misses the
+/// [`FREQ_SPEEDUP_FLOOR`] or [`FIT_SPEEDUP_FLOOR`], or a `grid:16`
+/// layout misses the [`PARALLEL_SPEEDUP_FLOOR`] on a host with the
+/// cores for it.
 pub fn run(config: &PerfConfig) -> PerfReport {
     let _probes = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let layouts: Vec<Layout> = config
@@ -448,6 +483,27 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         stages.insert("readout_naive".to_string(), stats);
         assert_eq!(ro_fast, ro_slow, "{label}: readout allocation diverged");
 
+        // The cold request's characterization fit, kernel vs the naive
+        // per-forest search, on the chip's synthesized XY samples.
+        let samples = synthesize(&chip, CrosstalkKind::Xy, &SynthConfig::xy(), FIT_SEED);
+        let fit_config = FitConfig::paper();
+        let fit_iterations = iters.min(FIT_MAX_ITERATIONS);
+        let (stats, model_fast) = timed(fit_iterations, || {
+            fit_crosstalk_model(&samples, &fit_config).expect("synthesized data always fits")
+        });
+        stages.insert("fit_kernel".to_string(), stats);
+        let (stats, model_slow) = timed(fit_iterations, || {
+            fit::naive::fit_crosstalk_model(&samples, &fit_config)
+                .expect("synthesized data always fits")
+        });
+        stages.insert("fit_naive".to_string(), stats);
+        assert_eq!(model_fast, model_slow, "{label}: fitted model diverged");
+        assert_eq!(
+            model_fast.cv_mse().to_bits(),
+            model_slow.cv_mse().to_bits(),
+            "{label}: fitted cv_mse diverged"
+        );
+
         // Full plan against a shared context, collecting the planner's
         // own sub-stage timings. The kernels probe must not move: every
         // plan reuses the context's tables.
@@ -537,6 +593,7 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         let speedup_freq = speedup("freq_alloc_naive", "freq_alloc_kernels");
         let speedup_readout = speedup("readout_naive", "readout_kernels");
         let speedup_parallel = speedup("plan_partitioned_serial", "plan_partitioned_parallel");
+        let speedup_fit = speedup("fit_naive", "fit_kernel");
         // The roadmap's acceptance floor: at 12×12 the kernelized
         // allocator must hold a ≥5× median speedup on both bands.
         if *layout == Layout::Grid(12) {
@@ -547,6 +604,10 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             assert!(
                 speedup_readout >= FREQ_SPEEDUP_FLOOR,
                 "{label}: readout speedup {speedup_readout:.2}x below the {FREQ_SPEEDUP_FLOOR}x floor"
+            );
+            assert!(
+                speedup_fit >= FIT_SPEEDUP_FLOOR,
+                "{label}: fit speedup {speedup_fit:.2}x below the {FIT_SPEEDUP_FLOOR}x floor"
             );
         }
         // The parallel-planning floor: at 16×16 with ≥8 plan threads,
@@ -579,6 +640,9 @@ pub fn run(config: &PerfConfig) -> PerfReport {
                 / (med("grouping_kernels") + med("refine_kernels")),
             speedup_freq,
             speedup_readout,
+            fit_samples: samples.len(),
+            fit_iterations,
+            speedup_fit,
             stages,
         });
     }
@@ -618,6 +682,8 @@ mod tests {
                 "freq_alloc_naive",
                 "readout_kernels",
                 "readout_naive",
+                "fit_kernel",
+                "fit_naive",
                 "plan_total",
                 "plan_partitioned_serial",
                 "plan_partitioned_parallel",
@@ -645,6 +711,9 @@ mod tests {
             assert!(size.speedup_grouping.is_finite());
             assert!(size.speedup_freq.is_finite());
             assert!(size.speedup_readout.is_finite());
+            assert!(size.speedup_fit.is_finite());
+            assert_eq!(size.fit_samples, size.qubits * (size.qubits - 1));
+            assert_eq!(size.fit_iterations, 2);
             // Context-backed plans reuse the context's freq kernels.
             assert!(!size.stages.contains_key("plan.freq.kernels"));
         }
@@ -719,5 +788,6 @@ mod tests {
         assert!(json.contains("grouping_kernels"));
         assert!(json.contains("\"speedup_parallel\""));
         assert!(json.contains("\"scratch_reused\""));
+        assert!(json.contains("\"speedup_fit\""));
     }
 }

@@ -10,12 +10,14 @@
 use std::error::Error;
 use std::fmt;
 
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use youtiao_chip::distance::EquivalentWeights;
 
 use crate::data::CrosstalkSample;
-use crate::forest::{RandomForest, RandomForestConfig};
+use crate::forest::{draw_bootstrap, RandomForest, RandomForestConfig};
 use crate::model::CrosstalkModel;
-use crate::stats::mse;
+use crate::tree::{FeatureGroups, TreeBuilder};
 
 /// Configuration for [`fit_crosstalk_model`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,6 +103,12 @@ impl Error for FitError {}
 /// Samples with non-finite distance components (disconnected pairs) are
 /// ignored.
 ///
+/// The search runs on a shared-draw kernel (DESIGN.md §4l): samples are
+/// grouped by blended distance once per grid blend, each cross-validation
+/// bootstrap is drawn once and counting-sorted into every blend, and
+/// trees split on group boundaries. The model is bit-identical to the
+/// per-forest search [`naive::fit_crosstalk_model`] runs.
+///
 /// # Errors
 ///
 /// * [`FitError::InvalidConfig`] — `folds < 2` or `weight_steps < 1`.
@@ -123,63 +131,215 @@ pub fn fit_crosstalk_model(
         });
     }
 
-    let mut best: Option<(EquivalentWeights, f64)> = None;
-    for i in 0..=config.weight_steps {
-        let w_phy = i as f64 / config.weight_steps as f64;
-        let w_top = 1.0 - w_phy;
-        let Ok(weights) = EquivalentWeights::new(w_phy, w_top) else {
-            continue; // both-zero corner cannot occur on the simplex
-        };
-        let score = cv_mse(&usable, weights, config);
+    // Presort once per blend: each grid point's blended distances as
+    // per-sample group ids plus a per-group distance table.
+    let mut xs = Vec::with_capacity(usable.len());
+    let blends: Vec<(EquivalentWeights, FeatureGroups)> = (0..=config.weight_steps)
+        .filter_map(|i| {
+            let w_phy = i as f64 / config.weight_steps as f64;
+            // The both-zero corner cannot occur on the simplex.
+            EquivalentWeights::new(w_phy, 1.0 - w_phy).ok()
+        })
+        .map(|weights| {
+            xs.clear();
+            xs.extend(usable.iter().map(|s| weights.combine(s.d_phy, s.d_top)));
+            (weights, FeatureGroups::new(&xs))
+        })
+        .collect();
+    drop(xs);
+    let ys: Vec<f64> = usable.iter().map(|s| s.value).collect();
+
+    let scores = cv_mse(&blends, &ys, config);
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &score) in scores.iter().enumerate() {
         if best.is_none_or(|(_, b)| score < b) {
-            best = Some((weights, score));
+            best = Some((i, score));
         }
     }
-    let (weights, score) = best.expect("weight grid is non-empty");
-
-    let xs: Vec<f64> = usable
-        .iter()
-        .map(|s| weights.combine(s.d_phy, s.d_top))
-        .collect();
-    let ys: Vec<f64> = usable.iter().map(|s| s.value).collect();
-    let forest = RandomForest::fit(&xs, &ys, config.forest);
-    Ok(CrosstalkModel::from_parts(weights, forest, score))
+    let (i, score) = best.expect("weight grid is non-empty");
+    let (weights, groups) = &blends[i];
+    let forest = RandomForest::fit_groups(groups, &ys, config.forest);
+    Ok(CrosstalkModel::from_parts(*weights, forest, score))
 }
 
-/// k-fold cross-validated MSE for a candidate weight blend.
-fn cv_mse(samples: &[&CrosstalkSample], weights: EquivalentWeights, config: &FitConfig) -> f64 {
-    let n = samples.len();
-    let mut total = 0.0;
-    let mut folds_used = 0usize;
-    for fold in 0..config.folds {
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
-        let mut test_x = Vec::new();
-        let mut test_y = Vec::new();
-        for (i, s) in samples.iter().enumerate() {
-            let x = weights.combine(s.d_phy, s.d_top);
-            if i % config.folds == fold {
-                test_x.push(x);
-                test_y.push(s.value);
-            } else {
-                train_x.push(x);
-                train_y.push(s.value);
+/// k-fold cross-validated MSE of every blend in `blends`.
+///
+/// A fold's bootstrap draws depend only on the forest seed and its
+/// training-set size, never on the blend, and fold sizes differ by at
+/// most one. So each tree's draws are made once per distinct size,
+/// shared by every fold of that size, and sorted into every blend.
+/// Each tree's predictions are added to per-group running sums in tree
+/// order, which is the per-test-point forest sum: test points with
+/// equal distance get equal predictions.
+fn cv_mse(
+    blends: &[(EquivalentWeights, FeatureGroups)],
+    ys: &[f64],
+    config: &FitConfig,
+) -> Vec<f64> {
+    let forest = config.forest;
+    assert!(forest.num_trees > 0, "forest needs at least one tree");
+    let n = ys.len();
+    // Each fold's training set as sample ids. With `n >= folds >= 2`
+    // (checked by the caller) every fold has training and test points.
+    let folds: Vec<Vec<u32>> = (0..config.folds)
+        .map(|fold| {
+            (0..n as u32)
+                .filter(|&i| i as usize % config.folds != fold)
+                .collect()
+        })
+        .collect();
+    // One bootstrap stream per distinct training-set size.
+    let mut streams: Vec<(usize, ChaCha8Rng, Vec<u32>)> = Vec::new();
+    for train in &folds {
+        if streams.iter().all(|(size, ..)| *size != train.len()) {
+            let rng = ChaCha8Rng::seed_from_u64(forest.seed);
+            streams.push((train.len(), rng, Vec::with_capacity(train.len())));
+        }
+    }
+    // Per (fold, blend) running sums; `Iterator::sum` for floats
+    // starts from -0.0.
+    let mut tree_sums: Vec<Vec<f64>> = folds
+        .iter()
+        .flat_map(|_| {
+            blends
+                .iter()
+                .map(|(_, groups)| vec![-0.0; groups.values.len()])
+        })
+        .collect();
+    let mut sample = Vec::with_capacity(n);
+    let mut targets = Vec::with_capacity(n);
+    let mut builder = TreeBuilder::default();
+    for _ in 0..forest.num_trees {
+        for (size, rng, draws) in &mut streams {
+            draw_bootstrap(rng, *size, draws);
+        }
+        for (train, fold_sums) in folds.iter().zip(tree_sums.chunks_mut(blends.len())) {
+            let (.., draws) = streams
+                .iter()
+                .find(|(size, ..)| *size == train.len())
+                .expect("a stream per training-set size");
+            sample.clear();
+            sample.extend(draws.iter().map(|&j| train[j as usize]));
+            targets.clear();
+            targets.extend(sample.iter().map(|&s| ys[s as usize]));
+            for ((_, groups), sums) in blends.iter().zip(fold_sums) {
+                builder.sort_sample(&sample, &targets, groups);
+                builder.grow(forest.tree);
+                for (sum, &x) in sums.iter_mut().zip(&groups.values) {
+                    *sum += builder.predict(x);
+                }
             }
         }
-        if train_x.is_empty() || test_x.is_empty() {
-            continue;
+    }
+    let mut totals = vec![0.0; blends.len()];
+    for (fold, (train, fold_sums)) in folds.iter().zip(tree_sums.chunks(blends.len())).enumerate() {
+        let test_len = n - train.len();
+        for (((_, groups), sums), total) in blends.iter().zip(fold_sums).zip(&mut totals) {
+            let mut squared = -0.0;
+            for i in (fold..n).step_by(config.folds) {
+                let prediction = sums[groups.ids[i] as usize] / forest.num_trees as f64;
+                squared += (prediction - ys[i]) * (prediction - ys[i]);
+            }
+            *total += squared / test_len as f64;
         }
-        let forest = RandomForest::fit(&train_x, &train_y, config.forest);
-        let preds: Vec<f64> = test_x.iter().map(|&x| forest.predict(x)).collect();
-        total += mse(&preds, &test_y);
-        folds_used += 1;
     }
-    if folds_used == 0 {
-        f64::INFINITY
-    } else {
-        total / folds_used as f64
+    totals
+        .into_iter()
+        .map(|total| (total / folds.len() as f64).max(0.0))
+        .collect()
+}
+
+/// The original per-blend, per-forest search, retained as the
+/// differential reference for [`fit_crosstalk_model`]: the kernel's
+/// model must compare `==` to this one's, with the same `cv_mse` bits.
+#[cfg(any(test, feature = "naive"))]
+pub mod naive {
+    use super::*;
+    use crate::forest;
+    use crate::stats::mse;
+
+    /// [`fit_crosstalk_model`](super::fit_crosstalk_model) fitting one
+    /// full forest per (blend, fold).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`fit_crosstalk_model`](super::fit_crosstalk_model).
+    pub fn fit_crosstalk_model(
+        samples: &[CrosstalkSample],
+        config: &FitConfig,
+    ) -> Result<CrosstalkModel, FitError> {
+        if config.folds < 2 || config.weight_steps < 1 {
+            return Err(FitError::InvalidConfig);
+        }
+        let usable: Vec<&CrosstalkSample> = samples
+            .iter()
+            .filter(|s| s.d_phy.is_finite() && s.d_top.is_finite() && s.value.is_finite())
+            .collect();
+        if usable.len() < config.folds {
+            return Err(FitError::NotEnoughSamples {
+                available: usable.len(),
+                required: config.folds,
+            });
+        }
+
+        let mut best: Option<(EquivalentWeights, f64)> = None;
+        for i in 0..=config.weight_steps {
+            let w_phy = i as f64 / config.weight_steps as f64;
+            let w_top = 1.0 - w_phy;
+            let Ok(weights) = EquivalentWeights::new(w_phy, w_top) else {
+                continue; // both-zero corner cannot occur on the simplex
+            };
+            let score = cv_mse(&usable, weights, config);
+            if best.is_none_or(|(_, b)| score < b) {
+                best = Some((weights, score));
+            }
+        }
+        let (weights, score) = best.expect("weight grid is non-empty");
+
+        let xs: Vec<f64> = usable
+            .iter()
+            .map(|s| weights.combine(s.d_phy, s.d_top))
+            .collect();
+        let ys: Vec<f64> = usable.iter().map(|s| s.value).collect();
+        let forest = forest::naive::fit(&xs, &ys, config.forest);
+        Ok(CrosstalkModel::from_parts(weights, forest, score))
     }
-    .max(if n == 0 { f64::INFINITY } else { 0.0 })
+
+    /// k-fold cross-validated MSE for a candidate weight blend.
+    fn cv_mse(samples: &[&CrosstalkSample], weights: EquivalentWeights, config: &FitConfig) -> f64 {
+        let n = samples.len();
+        let mut total = 0.0;
+        let mut folds_used = 0usize;
+        for fold in 0..config.folds {
+            let mut train_x = Vec::new();
+            let mut train_y = Vec::new();
+            let mut test_x = Vec::new();
+            let mut test_y = Vec::new();
+            for (i, s) in samples.iter().enumerate() {
+                let x = weights.combine(s.d_phy, s.d_top);
+                if i % config.folds == fold {
+                    test_x.push(x);
+                    test_y.push(s.value);
+                } else {
+                    train_x.push(x);
+                    train_y.push(s.value);
+                }
+            }
+            if train_x.is_empty() || test_x.is_empty() {
+                continue;
+            }
+            let forest = forest::naive::fit(&train_x, &train_y, config.forest);
+            let preds: Vec<f64> = test_x.iter().map(|&x| forest.predict(x)).collect();
+            total += mse(&preds, &test_y);
+            folds_used += 1;
+        }
+        if folds_used == 0 {
+            f64::INFINITY
+        } else {
+            total / folds_used as f64
+        }
+        .max(if n == 0 { f64::INFINITY } else { 0.0 })
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{FeatureGroups, RegressionTree, TreeBuilder, TreeConfig};
 
 /// Hyper-parameters of a [`RandomForest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,6 +57,67 @@ impl RandomForest {
     pub fn fit(xs: &[f64], ys: &[f64], config: RandomForestConfig) -> Self {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
+        RandomForest::fit_groups(&FeatureGroups::new(xs), ys, config)
+    }
+
+    /// [`RandomForest::fit`] over features already grouped by value.
+    pub(crate) fn fit_groups(
+        groups: &FeatureGroups,
+        ys: &[f64],
+        config: RandomForestConfig,
+    ) -> Self {
+        assert!(config.num_trees > 0, "forest needs at least one tree");
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut sample = Vec::with_capacity(ys.len());
+        let mut targets = Vec::with_capacity(ys.len());
+        let mut builder = TreeBuilder::default();
+        let trees = (0..config.num_trees)
+            .map(|_| {
+                draw_bootstrap(&mut rng, ys.len(), &mut sample);
+                targets.clear();
+                targets.extend(sample.iter().map(|&s| ys[s as usize]));
+                builder.sort_sample(&sample, &targets, groups);
+                builder.grow(config.tree);
+                builder.to_tree()
+            })
+            .collect();
+        RandomForest { trees }
+    }
+
+    /// Predicts the mean of all trees' predictions for feature `x`.
+    pub fn predict(&self, x: f64) -> f64 {
+        self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
+    }
+
+    /// Number of trees in the ensemble.
+    pub fn num_trees(&self) -> usize {
+        self.trees.len()
+    }
+}
+
+/// Replaces `sample` with one bootstrap draw of `n` ids from `0..n`,
+/// in draw order. The stream depends only on the rng state and `n`.
+pub(crate) fn draw_bootstrap(rng: &mut ChaCha8Rng, n: usize, sample: &mut Vec<u32>) {
+    sample.clear();
+    sample.extend((0..n).map(|_| rng.gen_range(0..n) as u32));
+}
+
+/// The original forest fit over the per-sample tree builder, retained
+/// as the differential reference for [`RandomForest::fit`].
+#[cfg(any(test, feature = "naive"))]
+pub mod naive {
+    use super::*;
+    use crate::tree;
+
+    /// [`RandomForest::fit`] with a gathered, comparison-sorted
+    /// bootstrap per tree.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`RandomForest::fit`].
+    pub fn fit(xs: &[f64], ys: &[f64], config: RandomForestConfig) -> RandomForest {
+        assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
+        assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
         assert!(config.num_trees > 0, "forest needs at least one tree");
         let n = xs.len();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -69,19 +130,9 @@ impl RandomForest {
                 bx[i] = xs[j];
                 by[i] = ys[j];
             }
-            trees.push(RegressionTree::fit(&bx, &by, config.tree));
+            trees.push(tree::naive::fit(&bx, &by, config.tree));
         }
         RandomForest { trees }
-    }
-
-    /// Predicts the mean of all trees' predictions for feature `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
-    }
-
-    /// Number of trees in the ensemble.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
     }
 }
 

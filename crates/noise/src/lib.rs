@@ -35,6 +35,8 @@
 #![warn(missing_docs)]
 
 pub mod data;
+#[cfg(test)]
+mod differential;
 pub mod fit;
 pub mod forest;
 pub mod model;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build + tests (plus the serving crate's
-# unit and doc tests), a batch smoke run with plan validation + stage
+# Repo verification: tier-1 build + tests (plus the serving and noise
+# crates' unit and doc tests), a batch smoke run with plan validation + stage
 # tracing plus byte-identity cmps across --plan-threads and across
 # --jobs/--shards, a sweep smoke run (JSONL schema, Pareto
 # front, thread-count determinism), repair smoke runs (pinned drift
@@ -26,6 +26,9 @@ if [[ "${1:-}" != "--smoke-only" ]]; then
 
   echo "==> tier 1: cargo test -q -p youtiao-serve"
   cargo test -q --offline -p youtiao-serve
+
+  echo "==> tier 1: cargo test -q -p youtiao-noise"
+  cargo test -q --offline -p youtiao-noise
 
   if [[ "${1:-}" == "--tier1-only" ]]; then
     echo "verify: tier-1 OK"
@@ -198,14 +201,14 @@ print("  chiplet sweep OK: 4 points, multi-die totals scale the monolithic plan,
       "deterministic across threads")
 PY
 
-echo "==> smoke: youtiao bench-plan (v3 schema, kernels-built-once, freq speedup floor)"
+echo "==> smoke: youtiao bench-plan (v4 schema, kernels-built-once, freq + fit speedup floors)"
 cargo run -q --release --offline --bin youtiao -- bench-plan \
   --sizes 4,12 --iters 2 --plan-threads 2 --out "$smoke_dir/bench.json" 2> /dev/null
 python3 - "$smoke_dir/bench.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema"] == "youtiao-bench-plan/v3", report["schema"]
+assert report["schema"] == "youtiao-bench-plan/v4", report["schema"]
 assert report["sizes"], "bench report has no sizes"
 assert report["kernels_built"] > 0
 for size in report["sizes"]:
@@ -213,7 +216,8 @@ for size in report["sizes"]:
                 "kernel_builds_during_plans", "freq_kernel_builds_during_plans",
                 "scratch_fresh", "scratch_reused", "threads", "speedup_parallel",
                 "speedup_grouping", "speedup_refine", "speedup_grouping_refine",
-                "speedup_freq", "speedup_readout"):
+                "speedup_freq", "speedup_readout", "fit_samples", "fit_iterations",
+                "speedup_fit"):
         assert key in size, f"{size.get('label')}: missing `{key}`"
     # Context-backed plans must hit the prebuilt kernels, not rebuild.
     assert size["kernel_builds_during_plans"] == 0, size["label"]
@@ -224,21 +228,25 @@ for size in report["sizes"]:
     assert size["scratch_fresh"] == 0, (size["label"], size["scratch_fresh"])
     assert size["scratch_reused"] > 0, size["label"]
     assert size["threads"] == 2, size["threads"]
-    for stage in ("plan_total", "plan.total",
+    for stage in ("plan_total", "plan.total", "fit_kernel", "fit_naive",
                   "plan_partitioned_serial", "plan_partitioned_parallel"):
         assert stage in size["stages"], f"{size['label']}: missing `{stage}`"
     for stage, stats in size["stages"].items():
         for q in ("median_us", "p10_us", "p90_us"):
             assert stats[q] >= 0, f"{size['label']}/{stage}: bad {q}"
         assert stats["p10_us"] <= stats["p90_us"], f"{size['label']}/{stage}"
-# The kernelized freq_alloc + readout must clear the acceptance floor
-# at 12x12 (the harness also asserts this internally).
+# The kernelized freq_alloc + readout and the fit kernel must clear
+# their acceptance floors at 12x12 (the harness also asserts these
+# internally).
 at12 = next(s for s in report["sizes"] if s["label"] == "12x12")
 assert at12["speedup_freq"] >= 5.0, at12["speedup_freq"]
 assert at12["speedup_readout"] >= 5.0, at12["speedup_readout"]
+assert at12["fit_samples"] == 144 * 143, at12["fit_samples"]
+assert at12["speedup_fit"] >= 3.0, at12["speedup_fit"]
 labels = [s["label"] for s in report["sizes"]]
 print(f"  bench smoke OK: {labels}, kernels built once per context, "
-      f"freq {at12['speedup_freq']:.1f}x / readout {at12['speedup_readout']:.1f}x at 12x12")
+      f"freq {at12['speedup_freq']:.1f}x / readout {at12['speedup_readout']:.1f}x / "
+      f"fit {at12['speedup_fit']:.1f}x at 12x12")
 PY
 
 # The ≥3x parallel-planning floor needs 8 real cores to be measurable;

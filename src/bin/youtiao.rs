@@ -143,7 +143,8 @@ usage:
                  [--iters N] [--plan-threads N] [--out FILE.json] [--json]
                  [--repair]
                  (times the planner's kernelized vs naive grouping/refine and
-                  freq_alloc/readout hot loops across square-grid chip sizes,
+                  freq_alloc/readout hot loops and the fit kernel vs the naive
+                  characterization fit across square-grid chip sizes,
                   default 6,8,10,12,16,24 at 9 iterations, plus a partitioned
                   serial-vs-parallel plan row at --plan-threads (default 8)
                   with scratch-arena reuse probes; writes the

@@ -186,13 +186,16 @@ pub enum DesignError {
 
 impl DesignError {
     /// Whether re-running with a perturbed characterization seed may
-    /// plausibly succeed. Frequency crowding and routing overflow
+    /// plausibly succeed. Frequency crowding and an unroutable net
     /// depend on the synthesized crosstalk data and the plan built from
-    /// it; config and chip-shape errors recur on every retry.
+    /// it. Config and chip-shape errors recur on every retry, and so do
+    /// running out of perimeter pads (the line count exceeds the pads
+    /// the chip outline has) and an empty net.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            DesignError::Plan(PlanError::FrequencyCrowded { .. }) | DesignError::Route(_)
+            DesignError::Plan(PlanError::FrequencyCrowded { .. })
+                | DesignError::Route(RouteError::Unroutable { .. })
         )
     }
 }
@@ -490,9 +493,13 @@ mod tests {
         assert!(!plan.is_transient());
         let crowded = DesignError::Plan(PlanError::FrequencyCrowded { qubit: 0u32.into() });
         assert!(crowded.is_transient());
-        let route = DesignError::Route(youtiao_route::router::RouteError::OutOfInterfaces);
+        let route = DesignError::Route(RouteError::OutOfInterfaces);
         assert!(route.source().is_some());
-        assert!(route.is_transient());
+        assert!(!route.is_transient());
+        let empty = DesignError::Route(RouteError::EmptyNet { net: "xy0".into() });
+        assert!(!empty.is_transient());
+        let unroutable = DesignError::Route(RouteError::Unroutable { net: "xy0".into() });
+        assert!(unroutable.is_transient());
         let cancelled = DesignError::Cancelled { stage: "plan" };
         assert!(cancelled.source().is_none());
         assert!(!cancelled.is_transient());

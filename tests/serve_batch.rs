@@ -114,6 +114,26 @@ fn warm_cache_answers_everything_identically() {
 }
 
 #[test]
+fn pad_exhaustion_is_answered_after_one_attempt() {
+    // A routed 10x10 square needs more lines than its perimeter has
+    // interface pads. That failure is deterministic, so a perturbed
+    // characterization seed cannot fix it and the pool must not retry.
+    let text = r#"{"id":"big","chip":{"topology":"square","rows":10,"cols":10}}"#;
+    let mut out = Vec::new();
+    let metrics = run_design_batch(&DaemonOptions::default(), Cursor::new(text), &mut out).unwrap();
+    assert_eq!(metrics.errors, 1);
+    assert_eq!(metrics.retries, 0);
+    let v: Value = serde_json::from_str(std::str::from_utf8(&out).unwrap().trim()).unwrap();
+    assert_eq!(v["status"], "Error");
+    assert_eq!(v["error"]["kind"], "Route");
+    assert_eq!(
+        v["error"]["message"],
+        "routing failed: no perimeter interface pads left"
+    );
+    assert_eq!(v["attempts"], 1);
+}
+
+#[test]
 fn failures_surface_as_structured_records_not_aborts() {
     let text = [
         r#"{"id":"good","chip":{"topology":"square","rows":2,"cols":2},"routing":false}"#,
